@@ -148,17 +148,6 @@ class ContentProvider:
         #: attribute read per stage and nothing else; the provider
         #: itself never records timings.
         self.stage_hook = None
-        #: Optional ``concurrent.futures`` executor for the *per-item*
-        #: arms of the batch screening stages (re-verifying members
-        #: after an aggregate check fails).  Those arms are pure
-        #: verification — no store writes, no rng, no clock — so
-        #: fanning them across threads is byte-identical to the serial
-        #: loop; it pays only under an arithmetic backend whose modular
-        #: exponentiation releases the GIL (gmpy2).  The stateful
-        #: stages (precheck, nonces, finalize) never use it.  The
-        #: service workers install one when
-        #: ``ServiceConfig.screening_threads > 0``.
-        self.screening_executor = None
         if license_key is None:
             # Three-prime key (RFC 8017 multi-prime): licence signing is
             # the one RSA private operation on the sell/redeem hot path
@@ -265,10 +254,7 @@ class ContentProvider:
         """Run a pure per-item verification over ``items``.
 
         Returns a list aligned with ``items``: ``None`` where the check
-        passed, the raised exception where it failed.  With
-        :attr:`screening_executor` installed the checks run across its
-        threads via an order-preserving ``map`` — same outcomes in the
-        same slots as the serial loop, just wall-clock-overlapped.
+        passed, the raised exception where it failed.
         """
 
         def _arm(item):
@@ -278,10 +264,7 @@ class ContentProvider:
                 return exc
             return None
 
-        pool = self.screening_executor
-        if pool is None:
-            return [_arm(item) for item in items]
-        return list(pool.map(_arm, items))
+        return [_arm(item) for item in items]
 
     def sell_batch(self, requests: list[PurchaseRequest]) -> list:
         """Validate and fulfil a queue of purchase requests together.
@@ -329,8 +312,7 @@ class ContentProvider:
             )
         except Exception:
             # At least one bad signature: re-check individually so only
-            # the offenders are rejected (threaded when a screening
-            # executor is installed — the checks are pure).
+            # the offenders are rejected.
             def _check_signature(request: PurchaseRequest) -> None:
                 key, payload, signature = _signature_item(request)
                 try:
@@ -620,11 +602,7 @@ class ContentProvider:
         self._mark_stage("redeem", "precheck", stage_start, len(requests))
 
         def _screen(indices: list[int], batch_check, item_check) -> list[int]:
-            """Run the aggregate check; on failure isolate offenders.
-
-            The per-item arm goes through :meth:`_screen_items`, so an
-            installed screening executor overlaps the re-checks.
-            """
+            """Run the aggregate check; on failure isolate offenders."""
             if not indices:
                 return indices
             try:

@@ -196,9 +196,14 @@ class ChaosListener(Listener):
             return self._serial
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        # Flag and snapshot under the accept loop's registration lock:
+        # a pair registered before this point is torn down below, and
+        # one still mid-dial sees the flag and tears itself down.
+        with self._serial_lock:
+            if self._closed:
+                return
+            self._closed = True
+            conns = list(self._conns)
         try:
             # shutdown() wakes a concurrently blocked accept();
             # close() alone does not on Linux.
@@ -209,8 +214,6 @@ class ChaosListener(Listener):
             self._listen.close()
         except OSError:
             pass
-        with self._serial_lock:
-            conns = list(self._conns)
         for sock in conns:
             _hard_close(sock)
         self._accept_thread.join(timeout=10)
@@ -244,7 +247,15 @@ class ChaosListener(Listener):
                     socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1
                 )
             with self._serial_lock:
-                self._conns.extend((client, server))
+                closed = self._closed
+                if not closed:
+                    self._conns.extend((client, server))
+            if closed:
+                # close() ran while the upstream dial was in flight and
+                # never saw this pair: tear it down, start no pumps.
+                _hard_close(client)
+                _hard_close(server)
+                return
             for source, sink, direction in (
                 (client, server, "c2s"),
                 (server, client, "s2c"),

@@ -19,7 +19,6 @@ write, through WAL snapshots.
 from __future__ import annotations
 
 import time
-from dataclasses import replace as _replace
 
 from ..core.actors.bank import decompose_amount
 from ..core.content import ContentPackage
@@ -496,7 +495,6 @@ def build_gateway(
     tracing: bool = False,
     trace_threshold: float = 0.25,
     trace_keep: int = 64,
-    screening_threads: int = 0,
 ) -> ServiceGateway:
     """One-call gateway over a deployment's provider role.
 
@@ -515,11 +513,6 @@ def build_gateway(
     when its boundary span runs at least ``trace_threshold`` seconds,
     errors, or is forced (recovery); the newest ``trace_keep`` kept
     traces survive.
-
-    ``screening_threads`` sizes each worker's screening thread pool
-    (0 = serial): the per-item arms of the batch screening stages run
-    across those threads, byte-identically to the serial path (see
-    ``docs/fastexp.md`` for when this pays).
     """
     shard_count = shards if shards is not None else workers
     paths = ShardSet.paths_in_directory(directory, shard_count)
@@ -533,8 +526,6 @@ def build_gateway(
     config = ServiceConfig.from_deployment(
         deployment, paths, tracing=tracing, **knobs
     )
-    if screening_threads:
-        config = _replace(config, screening_threads=screening_threads)
     return ServiceGateway(
         config,
         workers=workers,

@@ -104,18 +104,23 @@ _FRAME_NAMES = {
 }
 
 
-def _peek_kind(payload: bytes) -> str:
-    """Best-effort op kind of an encoded request (for shed labels);
-    never raises — an overloaded server must not pay a full decode,
-    let alone crash, to label a request it is refusing."""
-    from .. import codec
+def _parse_request_frame(frame):
+    """``(worker pin, envelope bytes, parse)`` for one request frame.
 
+    The frame's single :func:`~repro.service.wire.parse_request`: the
+    withdraw gate, replay lookup, shed label, spans and pool routing
+    all read the one result.  ``parse`` is the
+    :class:`~repro.service.wire.RequestEnvelope`, or the typed error
+    that refused the frame (a short pin prefix, an undecodable
+    envelope) for the request path to answer with.
+    """
+    worker, envelope = None, frame.payload
     try:
-        envelope = codec.decode(payload)
-        kind = envelope.get("kind")
-        return kind if isinstance(kind, str) else "unknown"
-    except Exception:
-        return "unknown"
+        if frame.type == FRAME_REQUEST_PINNED:
+            worker, envelope = decode_pinned(envelope)
+        return worker, envelope, wire.parse_request(envelope)
+    except ReproError as exc:
+        return worker, envelope, exc
 
 
 # -- control-channel marshalling --------------------------------------------
@@ -418,14 +423,20 @@ class NetServer(Listener):
                     # connection; in-flight work still answers nothing
                     # (its frames may be the corrupted ones).
                     break
+                parses = [
+                    _parse_request_frame(frame)
+                    if frame.type in (FRAME_REQUEST, FRAME_REQUEST_PINNED)
+                    else None
+                    for frame in frames
+                ]
                 if tracing.enabled() and frames:
                     self._record_decode(
-                        frames, decode_start, time.monotonic() - decode_start
+                        parses, decode_start, time.monotonic() - decode_start
                     )
                 if decoder.zero_copy_frames != zero_copy_seen:
                     self._m_zero_copy.inc(decoder.zero_copy_frames - zero_copy_seen)
                     zero_copy_seen = decoder.zero_copy_frames
-                for frame in frames:
+                for frame, parsed in zip(frames, parses):
                     self._m_frames.inc(
                         type=_FRAME_NAMES.get(frame.type, "unknown"),
                         direction="in",
@@ -444,7 +455,7 @@ class NetServer(Listener):
                     self._m_conn_inflight.inc(1, conn=conn)
                     task = asyncio.ensure_future(
                         self._handle_frame(
-                            frame, writer, write_lock, inflight, conn
+                            frame, parsed, writer, write_lock, inflight, conn
                         )
                     )
                     tasks.add(task)
@@ -473,24 +484,20 @@ class NetServer(Listener):
                 # nothing left to wait for.
                 pass
 
-    def _record_decode(self, frames, start: float, duration: float) -> None:
-        """Attribute one ``decoder.feed`` call's cost to the first traced
-        request frame it produced (``net.frame.decode``).  The event loop
-        decodes whole chunks, so the span carries the frame count rather
-        than pretending per-frame timing exists."""
-        ctx = None
-        for frame in frames:
-            if frame.type not in (FRAME_REQUEST, FRAME_REQUEST_PINNED):
-                continue
-            envelope = frame.payload
-            if frame.type == FRAME_REQUEST_PINNED:
-                try:
-                    _worker, envelope = decode_pinned(envelope)
-                except Exception:
-                    continue
-            ctx = wire.peek_trace(envelope)
-            if ctx is not None:
-                break
+    def _record_decode(self, parses, start: float, duration: float) -> None:
+        """Attribute one chunk's framing and envelope parse to the first
+        traced request frame it produced (``net.frame.decode``).  The
+        event loop decodes whole chunks, so the span carries the frame
+        count rather than pretending per-frame timing exists."""
+        ctx = next(
+            (
+                envelope.trace
+                for _worker, _data, envelope in filter(None, parses)
+                if isinstance(envelope, wire.RequestEnvelope)
+                and envelope.trace is not None
+            ),
+            None,
+        )
         if ctx is None:
             return
         tracing.record_span(
@@ -499,12 +506,13 @@ class NetServer(Listener):
             parent_id=ctx.span_id,
             start=start,
             duration=duration,
-            attrs={"frames": len(frames)},
+            attrs={"frames": len(parses)},
         )
 
     async def _handle_frame(
         self,
         frame,
+        parsed,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         inflight: asyncio.Semaphore,
@@ -528,7 +536,12 @@ class NetServer(Listener):
                 # retry.  The ceiling counter is loop-confined, so the
                 # check needs no lock.
                 reply_type = FRAME_RESPONSE
-                kind = _peek_kind(frame.payload)
+                envelope = parsed[2]
+                kind = (
+                    envelope.kind
+                    if isinstance(envelope, wire.RequestEnvelope)
+                    else "unknown"
+                )
                 self._m_shed.inc(op=kind, reason="server")
                 self._m_requests.inc(op=kind, outcome="shed")
                 payload = wire.encode_response(
@@ -543,7 +556,7 @@ class NetServer(Listener):
                 self._server_inflight += 1
                 counted = True
                 payload = await loop.run_in_executor(
-                    self._executor, self._serve_request, frame
+                    self._executor, self._serve_request, frame.type, *parsed
                 )
             try:
                 data = encode_frame(
@@ -671,25 +684,22 @@ class NetServer(Listener):
             sort_keys=True,
         )
 
-    def _serve_request(self, frame) -> bytes:
-        """Submit one client request frame to the pool; ALWAYS returns
+    def _serve_request(self, frame_type: int, worker, data, parsed) -> bytes:
+        """Submit one client request to the pool; ALWAYS returns
         response bytes — every failure mode becomes a typed error
         envelope, never an unanswered ticket the client waits out.
 
-        The envelope crosses untouched, so whatever the worker answers
-        is what the client receives — byte-identity with the in-process
-        path needs no re-encoding step that could drift.
+        ``worker``, ``data`` and ``parsed`` are the frame's one parse
+        (:func:`_parse_request_frame`).  The envelope bytes cross
+        untouched, so whatever the worker answers is what the client
+        receives — byte-identity with the in-process path needs no
+        re-encoding step that could drift.
         """
         pool = self._gateway.pool
         try:
-            worker = None
-            envelope = frame.payload
-            if frame.type == FRAME_REQUEST_PINNED:
-                worker, envelope = decode_pinned(envelope)
-            if (
-                not self._allow_withdraw
-                and _peek_kind(envelope) == wire.KIND_WITHDRAW
-            ):
+            if isinstance(parsed, ReproError):
+                return wire.encode_response(parsed)
+            if not self._allow_withdraw and parsed.kind == wire.KIND_WITHDRAW:
                 # Unauthenticated network clients must not reach the
                 # mint: see the allow_withdraw note in __init__.
                 return wire.encode_response(
@@ -700,8 +710,7 @@ class NetServer(Listener):
                         " the mint, and only to trusted clients)"
                     )
                 )
-            nonce = wire.peek_nonce(envelope)
-            if nonce is not None:
+            if parsed.nonce is not None:
                 # Front-door idempotent replay: a retry whose original
                 # already committed is answered with the original bytes
                 # right here — no worker round trip, no second 2PC run.
@@ -710,13 +719,13 @@ class NetServer(Listener):
                 # Same lock as the control ops: the gateway's SQLite
                 # views must not see interleaved cross-thread reads.
                 with self._control_lock:
-                    cached = self._gateway.replay.lookup(nonce)
+                    cached = self._gateway.replay.lookup(parsed.nonce)
                 if cached is not None:
                     self._m_replay_hits.inc()
                     return cached
-            ctx = wire.peek_trace(envelope) if tracing.enabled() else None
+            ctx = parsed.trace if tracing.enabled() else None
             if ctx is None:
-                ticket = pool.submit_encoded(envelope, worker=worker)
+                ticket = pool.submit_encoded(data, parsed, worker=worker)
                 [raw] = pool.gather_raw([ticket])
                 return raw
             # The server-side boundary span: parented to the client's
@@ -728,11 +737,11 @@ class NetServer(Listener):
                 "net.request",
                 ctx=ctx,
                 boundary=True,
-                op=_peek_kind(envelope),
-                frame=_FRAME_NAMES.get(frame.type, "unknown"),
+                op=parsed.kind,
+                frame=_FRAME_NAMES.get(frame_type, "unknown"),
             ) as sp:
                 ticket = pool.submit_encoded(
-                    envelope, worker=worker, trace=tracing.current_context()
+                    data, parsed, worker=worker, trace=tracing.current_context()
                 )
                 [raw] = pool.gather_raw([ticket])
                 outcome, error_type = wire.peek_response_outcome(raw)

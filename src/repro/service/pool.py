@@ -313,6 +313,7 @@ class WorkerPool:
     def submit_encoded(
         self,
         payload: bytes | memoryview,
+        envelope: wire.RequestEnvelope,
         *,
         worker: int | None = None,
         trace: tracing.TraceContext | None = None,
@@ -320,32 +321,29 @@ class WorkerPool:
         """Enqueue an already-encoded request envelope, verbatim.
 
         The network path lands here: the client's bytes go onto the
-        worker queue untouched — routing reads only the affinity field
-        (:func:`~repro.service.wire.peek_routing_token`, byte-equal to
-        the typed request's token) instead of constructing the full
-        request the worker will decode anyway — so the socket
-        transport is byte-transparent end to end without paying the
-        deserialization twice.  ``payload`` may be a ``memoryview``
-        straight out of :class:`~repro.service.transport.FrameDecoder`:
-        the peek reads through the view and the bytes are materialized
-        exactly once, at the process-queue boundary (``_enqueue``),
-        which is the first place an owned copy is unavoidable (the
-        queue pickles).  Unroutable payloads raise — the caller
-        answers the peer directly instead of burning a worker round
-        trip.
+        worker queue untouched, routed by ``envelope`` — the caller's
+        one :func:`~repro.service.wire.parse_request` of ``payload``,
+        whose :meth:`~repro.service.wire.RequestEnvelope.routing_token`
+        is byte-equal to the typed request's — so the socket transport
+        is byte-transparent end to end without parsing twice.
+        ``payload`` may be a ``memoryview`` straight out of
+        :class:`~repro.service.transport.FrameDecoder`: the bytes are
+        materialized exactly once, at the process-queue boundary
+        (``_enqueue``), the first place an owned copy is unavoidable
+        (the queue pickles).  A body too malformed to route raises —
+        pinned or not — so the caller answers the peer directly
+        instead of burning a worker round trip.
 
         ``trace`` attaches the caller's span context to the ticket
         (the payload bytes stay verbatim — the socket path's trace
         context rides the envelope's own ``meta`` field, written by
         the *client*, not rewritten here).
         """
-        kind, token = wire.peek_routing(payload)
+        token = envelope.routing_token()
         return self._enqueue(
             payload,
-            self._worker_for_token(token)
-            if worker is None
-            else worker % self._workers,
-            kind,
+            self._worker_for_token(token) if worker is None else worker % self._workers,
+            envelope.kind,
             trace,
         )
 

@@ -164,9 +164,6 @@ class ShardedSpentTokenStore:
     def record_for(self, token_id: bytes) -> SpentRecord | None:
         return self._store_for(token_id).record_for(token_id)
 
-    def unspend(self, token_id: bytes) -> bool:
-        return self._store_for(token_id).unspend(token_id)
-
     def unspend_if(self, token_id: bytes, transcript: bytes) -> bool:
         return self._store_for(token_id).unspend_if(token_id, transcript)
 

@@ -19,9 +19,13 @@ reconstruction on the caller's side.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .. import codec
+from ..core.identity import Pseudonym
 from ..core.licenses import AnonymousLicense, PersonalLicense
 from ..core.messages import (
+    Coin,
     DepositRequest,
     ExchangeRequest,
     MisuseEvidence,
@@ -37,8 +41,9 @@ from ..errors import (
     ReproError,
     RightsDenied,
 )
+from .tracing import SPAN_ID_BYTES, TRACE_ID_BYTES, TraceContext
 
-#: What the decoders and peeks accept: the hot path hands them
+#: What the decoders accept: the hot path hands them
 #: ``memoryview`` slices straight out of the frame decoder, and the
 #: canonical codec reads through any bytes-like object.
 Buffer = bytes | bytearray | memoryview
@@ -116,126 +121,133 @@ def encode_request(request, trace=None, nonce: bytes | None = None) -> bytes:
     return codec.encode(envelope)
 
 
-def decode_request(data: Buffer):
-    """Inverse of :func:`encode_request`; returns the typed dataclass.
+def parse_request(data: Buffer) -> RequestEnvelope:
+    """The one parse of an encoded request: a single ``codec.decode``.
 
-    Strictly :class:`~repro.errors.CodecError` on any malformed input:
-    a well-formed envelope carrying a garbage body (missing fields,
-    wrong types) must not leak a raw ``KeyError``/``TypeError`` — the
-    network path answers peers from the exception type, and only
-    ``ReproError`` subclasses are wired for the trip back.
+    Every process reads a request through exactly one of these — the
+    socket server for its withdraw gate, replay lookup, shed label,
+    spans and routing; the worker for its desks — so the envelope
+    format has one reader and no request is decoded twice.
+
+    Raises :class:`~repro.errors.CodecError` for anything that is not
+    a request envelope (undecodable bytes, a wrong ``what``, an
+    unknown ``kind``).  The ``meta`` dict is best effort: a missing or
+    malformed one just leaves ``nonce`` / ``trace`` at ``None`` —
+    every pre-tracing, pre-retry client is simply untraced and not
+    idempotent-keyed.  The body is not examined here: a bad one
+    raises from :meth:`RequestEnvelope.request` or
+    :meth:`RequestEnvelope.routing_token`.
     """
     envelope = codec.decode(data)
     if not isinstance(envelope, dict) or envelope.get("what") != _REQUEST_WHAT:
         raise CodecError("not a service request envelope")
     kind = envelope.get("kind")
-    request_type = _REQUEST_TYPES.get(kind)
-    if request_type is None:
+    if not isinstance(kind, str) or kind not in _REQUEST_TYPES:
         raise CodecError(f"unknown request kind {kind!r}")
-    try:
-        return request_type.from_dict(envelope["body"])
-    except ReproError:
-        raise
-    except Exception as exc:
-        raise CodecError(f"malformed {kind} request body: {exc!r}") from exc
+    meta = envelope.get("meta")
+    if not isinstance(meta, dict):
+        meta = {}
+    return RequestEnvelope(
+        kind, envelope.get("body"), _meta_nonce(meta), _meta_trace(meta)
+    )
 
 
-def peek_routing(data: Buffer) -> tuple[str, bytes]:
-    """``(kind, affinity token)`` of an encoded request — without
-    constructing the full typed request.
-
-    The network gateway routes thousands of envelopes it never
-    otherwise inspects (worker desks decode for themselves), so the
-    peek reads just the affinity field from the decoded body dict:
-    redeem and exchange tokens *are* raw fields; sells derive the
-    certificate fingerprint through the same :class:`~repro.core.
-    identity.Pseudonym` the full decode would build; deposits build
-    one :class:`~repro.core.messages.Coin` so ``spent_token()`` keeps
-    sole ownership of the exactly-once key formula.  Every token is
-    byte-equal to what the typed request would yield, and any
-    malformed shape raises :class:`~repro.errors.CodecError` (deeper
-    garbage is the worker's decode to refuse).
-    """
-    envelope = codec.decode(data)
-    if not isinstance(envelope, dict) or envelope.get("what") != _REQUEST_WHAT:
-        raise CodecError("not a service request envelope")
-    kind = envelope.get("kind")
-    if kind not in _REQUEST_TYPES:
-        raise CodecError(f"unknown request kind {kind!r}")
-    try:
-        body = envelope["body"]
-        if kind == KIND_REDEEM:
-            return kind, bytes(body["anon"]["id"])
-        if kind == KIND_EXCHANGE:
-            return kind, bytes(body["license"])
-        if kind == KIND_SELL:
-            from ..core.identity import Pseudonym
-
-            return kind, Pseudonym.from_dict(body["cert"]["pseudonym"]).fingerprint
-        if kind == KIND_WITHDRAW:
-            # Withdrawals route by account: the debit serializes at the
-            # account's home-shard write lock wherever it runs, so the
-            # affinity is a cache-locality choice, not a correctness one.
-            return kind, str(body["account"]).encode("utf-8")
-        coins = body["coins"]
-        if not coins:
-            return kind, b"deposit"
-        from ..core.messages import Coin
-
-        return kind, Coin.from_dict(coins[0]).spent_token()
-    except ReproError:
-        raise
-    except Exception as exc:
-        raise CodecError(
-            f"malformed {kind} request routing fields: {exc!r}"
-        ) from exc
-
-
-def peek_routing_token(data: Buffer) -> bytes:
-    """The affinity token alone (see :func:`peek_routing`)."""
-    return peek_routing(data)[1]
-
-
-def peek_trace(data: Buffer):
-    """The trace context embedded in an encoded request, or ``None``.
-
-    Never raises: an envelope without ``meta`` (every pre-tracing
-    client), or with a malformed one, is simply untraced.
-    """
-    from .tracing import SPAN_ID_BYTES, TRACE_ID_BYTES, TraceContext
-
-    try:
-        envelope = codec.decode(data)
-        meta = envelope.get("meta")
-        if not isinstance(meta, dict):
-            return None
-        trace_id = bytes(meta["trace"])
-        span_id = bytes(meta["span"])
-        if len(trace_id) != TRACE_ID_BYTES or len(span_id) != SPAN_ID_BYTES:
-            return None
-        return TraceContext(trace_id, span_id)
-    except Exception:
-        return None
-
-
-def peek_nonce(data: Buffer) -> bytes | None:
-    """The idempotency nonce embedded in an encoded request, or ``None``.
-
-    Never raises: an envelope without ``meta`` (every pre-retry
-    client), or with a malformed one, is simply not idempotent-keyed —
-    it flows through the ordinary exactly-once gates instead.
-    """
-    try:
-        envelope = codec.decode(data)
-        meta = envelope.get("meta")
-        if not isinstance(meta, dict):
-            return None
-        nonce = meta.get("nonce")
-        if not isinstance(nonce, bytes) or len(nonce) != NONCE_BYTES:
-            return None
+def _meta_nonce(meta: dict) -> bytes | None:
+    nonce = meta.get("nonce")
+    if isinstance(nonce, bytes) and len(nonce) == NONCE_BYTES:
         return nonce
-    except Exception:
-        return None
+    return None
+
+
+def _meta_trace(meta: dict) -> TraceContext | None:
+    trace_id, span_id = meta.get("trace"), meta.get("span")
+    if (
+        isinstance(trace_id, bytes)
+        and isinstance(span_id, bytes)
+        and len(trace_id) == TRACE_ID_BYTES
+        and len(span_id) == SPAN_ID_BYTES
+    ):
+        return TraceContext(trace_id, span_id)
+    return None
+
+
+@dataclass(frozen=True)
+class RequestEnvelope:
+    """A parsed request envelope (see :func:`parse_request`).
+
+    ``body`` is the codec dict the typed request is built from;
+    ``nonce`` is the idempotency key the replay caches dedupe on and
+    ``trace`` the caller's span context, each ``None`` when ``meta``
+    does not carry a well-formed one.
+    """
+
+    kind: str
+    body: object
+    nonce: bytes | None
+    trace: TraceContext | None
+
+    def request(self):
+        """The typed request dataclass.
+
+        Strictly :class:`~repro.errors.CodecError` on a garbage body
+        (missing fields, wrong types): the network path answers peers
+        from the exception type, and only ``ReproError`` subclasses
+        are wired for the trip back.
+        """
+        try:
+            return _REQUEST_TYPES[self.kind].from_dict(self.body)
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise CodecError(
+                f"malformed {self.kind} request body: {exc!r}"
+            ) from exc
+
+    def routing_token(self) -> bytes:
+        """The shard-affinity token, without building the typed request.
+
+        The network gateway routes envelopes it never otherwise
+        inspects (worker desks build the request for themselves), so
+        this reads just the affinity field from the body: redeem and
+        exchange tokens *are* raw fields; sells derive the certificate
+        fingerprint through the same :class:`~repro.core.identity.
+        Pseudonym` the full request would build; deposits build one
+        :class:`~repro.core.messages.Coin` so ``spent_token()`` keeps
+        sole ownership of the exactly-once key formula.  Every token
+        is byte-equal to what the typed request would yield, and any
+        malformed shape raises :class:`~repro.errors.CodecError`
+        (deeper garbage is the worker's to refuse).
+        """
+        kind, body = self.kind, self.body
+        try:
+            if kind == KIND_REDEEM:
+                return bytes(body["anon"]["id"])
+            if kind == KIND_EXCHANGE:
+                return bytes(body["license"])
+            if kind == KIND_SELL:
+                return Pseudonym.from_dict(body["cert"]["pseudonym"]).fingerprint
+            if kind == KIND_WITHDRAW:
+                # Withdrawals route by account: the debit serializes at
+                # the account's home-shard write lock wherever it runs,
+                # so the affinity is a cache-locality choice, not a
+                # correctness one.
+                return str(body["account"]).encode("utf-8")
+            coins = body["coins"]
+            if not coins:
+                return b"deposit"
+            return Coin.from_dict(coins[0]).spent_token()
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise CodecError(
+                f"malformed {kind} request routing fields: {exc!r}"
+            ) from exc
+
+
+def decode_request(data: Buffer):
+    """Inverse of :func:`encode_request`; returns the typed dataclass
+    (:func:`parse_request` then :meth:`RequestEnvelope.request`)."""
+    return parse_request(data).request()
 
 
 # -- response envelopes ------------------------------------------------------

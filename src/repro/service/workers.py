@@ -30,20 +30,14 @@ from __future__ import annotations
 import hashlib
 import queue as queue_module
 import time
+from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from ..clock import SimClock
 from ..core.actors.bank import decompose_amount
 from ..core.actors.provider import ContentProvider, ProviderStores
-from ..core.messages import (
-    Coin,
-    DepositRequest,
-    ExchangeRequest,
-    PurchaseRequest,
-    RedeemRequest,
-    WithdrawRequest,
-)
+from ..core.messages import Coin
 from ..crypto import backend as crypto_backend
 from ..crypto import fastexp
 from ..crypto.blind_rsa import BlindSigner, batch_verify_blind_signatures
@@ -131,13 +125,6 @@ class ServiceConfig:
     #: token in its (copy-on-write-inherited) fastexp globals knows the
     #: registry it holds is the gateway's and skips warmup entirely.
     warm_token: str | None = None
-    #: Size of the per-worker screening thread pool (0 = serial).  The
-    #: per-item arms of the batch screening stages (re-verifying
-    #: members after an aggregate check fails) fan out across these
-    #: threads; it pays only under the gmpy2 backend, whose ``powmod``
-    #: releases the GIL, but is byte-identical to the serial path under
-    #: any backend (see docs/fastexp.md).
-    screening_threads: int = 0
 
     @classmethod
     def from_deployment(
@@ -708,18 +695,9 @@ def worker_main(worker_index, config, request_queue, response_queue):
         pass  # pool torn down before we finished warming; exit via loop
     if config.tracing:
         tracing.install(tracing.SpanCollector())
-    screen_pool = None
     shards = ShardSet(config.shard_paths)
     try:
         provider, desk, clock = build_worker_provider(config, worker_index, shards)
-        if config.screening_threads > 0:
-            from concurrent.futures import ThreadPoolExecutor
-
-            screen_pool = ThreadPoolExecutor(
-                max_workers=config.screening_threads,
-                thread_name_prefix=f"p2drm-screen-{worker_index}",
-            )
-            provider.screening_executor = screen_pool
         while True:
             drained = _drain_batch(request_queue, config.max_batch, config.max_wait)
             if drained.items:
@@ -744,8 +722,6 @@ def worker_main(worker_index, config, request_queue, response_queue):
             if drained.shutdown:
                 return
     finally:
-        if screen_pool is not None:
-            screen_pool.shutdown(wait=False)
         shards.close()
         _detach_shared_tables()
 
@@ -762,40 +738,34 @@ class _BatchTraces:
     3-tuples; untraced ones stay 2-tuples.
     """
 
-    def __init__(self, items, worker_index: int, batch_start: float):
+    def __init__(self, worker_index: int, batch_start: float):
         self._collector = tracing.collector()
         self._worker = worker_index
         self._batch_start = batch_start
-        self._states: dict[int, tuple[tracing.TraceContext, bytes]] = {}
-        self._kinds: dict[int, str] = {}
-        if self._collector is None:
+        self._states: dict[int, tuple[tracing.TraceContext, bytes, str]] = {}
+
+    def open(self, item, envelope: wire.RequestEnvelope) -> None:
+        """Start tracing one parsed queue item (a no-op when the worker
+        collects no spans or the envelope carries no trace)."""
+        ctx = envelope.trace
+        if self._collector is None or ctx is None:
             return
-        for item in items:
-            request_id, payload = item[0], item[1]
-            ctx = wire.peek_trace(payload)
-            if ctx is None:
-                continue
-            self._states[request_id] = (ctx, tracing.new_span_id())
-            submit_mono = item[3] if len(item) > 3 else None
-            if submit_mono is not None:
-                tracing.record_span(
-                    "pool.queue",
-                    trace_id=ctx.trace_id,
-                    parent_id=ctx.span_id,
-                    start=submit_mono,
-                    duration=batch_start - submit_mono,
-                    attrs={"worker": worker_index},
-                )
+        request_id = item[0]
+        self._states[request_id] = (ctx, tracing.new_span_id(), envelope.kind)
+        submit_mono = item[3] if len(item) > 3 else None
+        if submit_mono is not None:
+            tracing.record_span(
+                "pool.queue",
+                trace_id=ctx.trace_id,
+                parent_id=ctx.span_id,
+                start=submit_mono,
+                duration=self._batch_start - submit_mono,
+                attrs={"worker": self._worker},
+            )
 
     @property
     def any_traced(self) -> bool:
         return bool(self._states)
-
-    def note_kind(self, request_id: int, request) -> None:
-        try:
-            self._kinds[request_id] = wire.request_kind(request)
-        except Exception:
-            pass
 
     def scope(self, request_id: int):
         """Ambient context for one request's processing: children (2PC
@@ -803,7 +773,7 @@ class _BatchTraces:
         state = self._states.get(request_id)
         if state is None:
             return nullcontext()
-        ctx, span_id = state
+        ctx, span_id, _kind = state
         return tracing.activate(tracing.TraceContext(ctx.trace_id, span_id))
 
     def replicate_stages(self, stage_log, members) -> None:
@@ -812,11 +782,11 @@ class _BatchTraces:
         read as a complete story."""
         if not stage_log:
             return
-        for request_id, _ in members:
+        for request_id, *_ in members:
             state = self._states.get(request_id)
             if state is None:
                 continue
-            ctx, span_id = state
+            ctx, span_id, _kind = state
             for op, stage, start, duration, n in stage_log:
                 tracing.record_span(
                     "worker.stage",
@@ -832,7 +802,7 @@ class _BatchTraces:
         if state is None:
             response_queue.put((request_id, payload))
             return
-        ctx, span_id = state
+        ctx, span_id, kind = state
         outcome, error_type = wire.peek_response_outcome(payload)
         tracing.record_span(
             "worker.request",
@@ -843,15 +813,14 @@ class _BatchTraces:
             duration=time.monotonic() - self._batch_start,
             status="error" if outcome == "error" else "ok",
             error=error_type or "",
-            attrs={"op": self._kinds.get(request_id, "unknown"),
-                   "worker": self._worker},
+            attrs={"op": kind, "worker": self._worker},
         )
         response_queue.put(
             (request_id, payload, self._collector.drain(ctx.trace_id))
         )
 
 
-def _precheck_replay(desk, entries, payload_by_id, traces, response_queue):
+def _precheck_replay(desk, entries, traces, response_queue):
     """Answer any entry whose idempotency nonce already resolved;
     returns the entries that still need execution.
 
@@ -862,10 +831,10 @@ def _precheck_replay(desk, entries, payload_by_id, traces, response_queue):
     if desk.replay is None:
         return entries
     survivors = []
-    for request_id, request in entries:
-        nonce = wire.peek_nonce(payload_by_id[request_id])
+    for entry in entries:
+        request_id, _request, nonce = entry
         if nonce is None:
-            survivors.append((request_id, request))
+            survivors.append(entry)
             continue
         try:
             cached = desk.replay.lookup(nonce)
@@ -873,7 +842,7 @@ def _precheck_replay(desk, entries, payload_by_id, traces, response_queue):
             traces.respond(response_queue, request_id, wire.encode_response(exc))
             continue
         if cached is None:
-            survivors.append((request_id, request))
+            survivors.append(entry)
         else:
             traces.respond(response_queue, request_id, cached)
     return survivors
@@ -908,7 +877,12 @@ def _respond_completed(
 def _process_batch(
     provider, desk, clock, items, response_queue, worker_index: int = 0
 ) -> None:
-    """Decode, dispatch per kind through the batch pipelines, respond."""
+    """Parse, dispatch per kind through the batch pipelines, respond.
+
+    Each payload is parsed exactly once (:func:`~repro.service.wire.
+    parse_request`); the pipelines carry ``(request_id, request,
+    nonce)`` entries from there on.
+    """
     batch_start = time.monotonic()
     # The worker clock follows the *gateway's* stamps — time is
     # distributed from the operator side of the wire.  Request bodies
@@ -919,69 +893,57 @@ def _process_batch(
     if latest_stamp > clock.now():
         clock.set(latest_stamp)
 
-    traces = _BatchTraces(items, worker_index, batch_start)
-
-    decoded: list[tuple[int, object]] = []
+    traces = _BatchTraces(worker_index, batch_start)
+    by_kind: dict[str, list] = defaultdict(list)
     for item in items:
-        request_id, payload = item[0], item[1]
+        request_id = item[0]
         try:
-            decoded.append((request_id, wire.decode_request(payload)))
+            envelope = wire.parse_request(item[1])
+            traces.open(item, envelope)
+            by_kind[envelope.kind].append(
+                (request_id, envelope.request(), envelope.nonce)
+            )
         except Exception as exc:
+            # Typed answer for the peer: an undecodable envelope or a
+            # malformed body is this request's outcome, not the batch's.
             traces.respond(response_queue, request_id, wire.encode_response(exc))
-    for request_id, request in decoded:
-        traces.note_kind(request_id, request)
 
-    sells = [(rid, r) for rid, r in decoded if isinstance(r, PurchaseRequest)]
-    redeems = [(rid, r) for rid, r in decoded if isinstance(r, RedeemRequest)]
-    exchanges = [(rid, r) for rid, r in decoded if isinstance(r, ExchangeRequest)]
-    deposits = [(rid, r) for rid, r in decoded if isinstance(r, DepositRequest)]
-    withdraws = [(rid, r) for rid, r in decoded if isinstance(r, WithdrawRequest)]
-
-    payload_by_id = {item[0]: item[1] for item in items}
     # Idempotent replay for the non-2PC kinds: a nonce whose original
     # already completed answers from the cache *before* re-execution
     # (which would burn its one-shot request nonce and turn an honest
     # retry into a replay verdict).  Deposits run their own, stronger
     # intent-gated path below.
-    sells = _precheck_replay(desk, sells, payload_by_id, traces, response_queue)
-    redeems = _precheck_replay(desk, redeems, payload_by_id, traces, response_queue)
-    exchanges = _precheck_replay(
-        desk, exchanges, payload_by_id, traces, response_queue
-    )
-    withdraws = _precheck_replay(
-        desk, withdraws, payload_by_id, traces, response_queue
+    sells, redeems, exchanges, withdraws = (
+        _precheck_replay(desk, by_kind[kind], traces, response_queue)
+        for kind in (
+            wire.KIND_SELL, wire.KIND_REDEEM, wire.KIND_EXCHANGE, wire.KIND_WITHDRAW
+        )
     )
 
     if sells:
         with _stage_log(provider, traces.any_traced) as stage_log:
-            results = provider.sell_batch([request for _, request in sells])
+            results = provider.sell_batch([request for _, request, _ in sells])
         traces.replicate_stages(stage_log, sells)
-        for (request_id, _), result in zip(sells, results):
+        for (request_id, _, nonce), result in zip(sells, results):
             _respond_completed(
-                desk, traces, response_queue, request_id,
-                wire.peek_nonce(payload_by_id[request_id]), result,
+                desk, traces, response_queue, request_id, nonce, result
             )
     if redeems:
         with _stage_log(provider, traces.any_traced) as stage_log:
-            results = provider.redeem_batch([request for _, request in redeems])
+            results = provider.redeem_batch([request for _, request, _ in redeems])
         traces.replicate_stages(stage_log, redeems)
-        for (request_id, _), result in zip(redeems, results):
+        for (request_id, _, nonce), result in zip(redeems, results):
             _respond_completed(
-                desk, traces, response_queue, request_id,
-                wire.peek_nonce(payload_by_id[request_id]), result,
+                desk, traces, response_queue, request_id, nonce, result
             )
-    for request_id, request in exchanges:
+    for request_id, request, nonce in exchanges:
         with traces.scope(request_id):
             try:
                 result = provider.exchange(request)
             except Exception as exc:
                 result = exc
-        _respond_completed(
-            desk, traces, response_queue, request_id,
-            wire.peek_nonce(payload_by_id[request_id]), result,
-        )
-    for request_id, request in deposits:
-        nonce = wire.peek_nonce(payload_by_id[request_id])
+        _respond_completed(desk, traces, response_queue, request_id, nonce, result)
+    for request_id, request, nonce in by_kind[wire.KIND_DEPOSIT]:
         with traces.scope(request_id):
             try:
                 if nonce is not None and desk.replay is not None:
@@ -998,7 +960,7 @@ def _process_batch(
             except Exception as exc:
                 response = wire.encode_response(exc)
         traces.respond(response_queue, request_id, response)
-    for request_id, request in withdraws:
+    for request_id, request, nonce in withdraws:
         with traces.scope(request_id):
             try:
                 signature = desk.withdraw_blind(
@@ -1011,10 +973,7 @@ def _process_batch(
                 }
             except Exception as exc:
                 result = exc
-        _respond_completed(
-            desk, traces, response_queue, request_id,
-            wire.peek_nonce(payload_by_id[request_id]), result,
-        )
+        _respond_completed(desk, traces, response_queue, request_id, nonce, result)
 
 
 class _stage_log:

@@ -133,28 +133,6 @@ class SpentTokenStore:
             for r in rows
         ]
 
-    def unspend(self, token_id: bytes) -> bool:
-        """Compensation for a *failed composite operation only*.
-
-        The deposit desk spends a payment's coins one at a time; when a
-        later coin turns out double-spent the whole payment is refused,
-        and the earlier coins of that same payment — never credited —
-        are released here so the payer can respend them.  Returns
-        whether a record was removed.  Nothing else may call this: a
-        *credited* spend is permanent by design.
-
-        Callers releasing a spend they merely *observed* (rather than
-        wrote themselves) must use :meth:`unspend_if` — an unconditional
-        delete races a concurrent re-spend and can erase another
-        payment's fresh record.
-        """
-        with self._db.transaction(immediate=True):
-            cursor = self._db.execute(
-                "DELETE FROM spent_tokens WHERE kind = ? AND token_id = ?",
-                (self._kind, token_id),
-            )
-            return cursor.rowcount > 0
-
     def prune_oldest(self, max_records: int) -> int:
         """Delete the oldest records past ``max_records`` of this kind.
 

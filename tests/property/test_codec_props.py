@@ -4,7 +4,7 @@ the service wire format built on top of it."""
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import codec
 from repro.core.messages import DepositRequest, MisuseEvidence
@@ -35,7 +35,7 @@ class TestCodecProperties:
     @settings(max_examples=300)
     def test_roundtrip(self, value):
         decoded = codec.decode(codec.encode(value))
-        assert decoded == _normalize(value)
+        assert _strict(decoded) == _strict(value)
 
     @given(values)
     @settings(max_examples=200)
@@ -46,9 +46,11 @@ class TestCodecProperties:
         assert codec.encode(codec.decode(encoded)) == encoded
 
     @given(values, values)
+    @example(False, 0)
+    @example(True, 1)
     @settings(max_examples=200)
     def test_injective_on_distinct_values(self, left, right):
-        if _normalize(left) != _normalize(right):
+        if _strict(left) != _strict(right):
             assert codec.encode(left) != codec.encode(right)
         else:
             assert codec.encode(left) == codec.encode(right)
@@ -216,3 +218,16 @@ def _normalize(value):
     if isinstance(value, (bytearray, memoryview)):
         return bytes(value)
     return value
+
+
+def _strict(value):
+    """:func:`_normalize` with bools tagged, so the oracle is as
+    type-strict as the codec: Python's ``False == 0`` and ``True == 1``
+    would otherwise call two distinctly encoded values equal."""
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    return _normalize(value)

@@ -4,13 +4,16 @@ producing a *typed* client-side failure), and the queue-path
 :class:`ChaosTransport` semantics.
 """
 
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.protocols.payment import withdraw_coins
 from repro.core.system import build_deployment
 from repro.errors import ServiceError
+from repro.service import faults
 from repro.service.faults import (
     ChaosListener,
     ChaosTransport,
@@ -229,6 +232,47 @@ def test_chaos_transport_is_deterministic():
         return outcomes
 
     assert run() == run()
+
+
+def test_proxy_close_during_upstream_dial_tears_down_the_client(monkeypatch):
+    """close() racing an accept whose upstream dial is still in flight
+    must not leave that connection proxied: the accept loop sees the
+    close and hard-closes both sockets instead of starting pumps."""
+    upstream = socket.socket()
+    upstream.bind(("127.0.0.1", 0))
+    upstream.listen(8)
+    dialing, release = threading.Event(), threading.Event()
+    real_dial = faults.socket_module.create_connection
+
+    def stalled_dial(address, *args, **kwargs):
+        if threading.current_thread().name == "p2drm-chaos-accept":
+            dialing.set()
+            release.wait(10)
+        return real_dial(address, *args, **kwargs)
+
+    monkeypatch.setattr(faults.socket_module, "create_connection", stalled_dial)
+    proxy = ChaosListener(upstream.getsockname(), FaultPlan(FaultSpec(), seed=0))
+    client = socket.create_connection(proxy.address, timeout=5)
+    try:
+        assert dialing.wait(10)
+        closer = threading.Thread(target=proxy.close, daemon=True)
+        closer.start()
+        deadline = time.monotonic() + 10
+        while not proxy._closed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        closer.join(timeout=10)
+        client.settimeout(2)
+        try:
+            data = client.recv(1)
+        except ConnectionResetError:
+            data = b""
+        assert data == b""
+    finally:
+        release.set()
+        client.close()
+        proxy.close()
+        upstream.close()
 
 
 def test_proxy_close_tears_down_live_connections(stack):

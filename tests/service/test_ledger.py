@@ -190,7 +190,8 @@ class TestDepositSequencer:
             def try_spend(self, token, *, at, transcript=b""):
                 polls["n"] += 1
                 if polls["n"] == 3:
-                    spent.unspend(c.spent_token())
+                    token = c.spent_token()
+                    spent.unspend_if(token, spent.record_for(token).transcript)
                     ledger.store_for("other").abort_intent(foreign, at=2)
                 return spent.try_spend(token, at=at, transcript=transcript)
 

@@ -96,12 +96,13 @@ class TestShardedSpentTokenStore:
         with ShardSet.in_memory(4) as shards:
             store = ShardedSpentTokenStore(shards, "ecash")
             a, b = b"coin-a", b"coin-b"
-            store.try_spend(a, at=1)
-            store.try_spend(b, at=1)
-            assert store.unspend(a) is True
+            store.try_spend(a, at=1, transcript=b"owner-a")
+            store.try_spend(b, at=1, transcript=b"owner-b")
+            transcript = store.record_for(a).transcript
+            assert store.unspend_if(a, transcript) is True
             assert not store.is_spent(a)
             assert store.is_spent(b)
-            assert store.unspend(a) is False  # already released
+            assert store.unspend_if(a, transcript) is False  # already released
 
     def test_unspend_if_is_cas_on_the_observed_transcript(self):
         with ShardSet.in_memory(4) as shards:

@@ -19,7 +19,7 @@ from repro import codec
 from repro.core.messages import DepositRequest
 from repro.core.protocols.payment import withdraw_coins
 from repro.core.system import build_deployment
-from repro.errors import ParameterError, ServiceError
+from repro.errors import CodecError, ParameterError, ServiceError
 from repro.service import tracing, wire
 from repro.service.gateway import build_gateway
 from repro.service.ledger import ShardedLedger, intent_payload
@@ -339,9 +339,10 @@ class TestWireMeta:
         ctx = tracing.TraceContext(os.urandom(16), os.urandom(8))
         request = DepositRequest(account="m", coins=())
         traced = wire.encode_request(request, trace=ctx)
-        assert wire.peek_trace(traced) == ctx
+        assert wire.parse_request(traced).trace == ctx
+        assert wire.parse_request(traced).request() == request
         assert wire.decode_request(traced) == request
-        assert wire.peek_trace(wire.encode_request(request)) is None
+        assert wire.parse_request(wire.encode_request(request)).trace is None
         # The meta field is the ONLY difference tracing makes to the
         # bytes — the byte-identity guarantee for everything else.
         envelope = codec.decode(traced)
@@ -352,10 +353,13 @@ class TestWireMeta:
         request = DepositRequest(account="m", coins=())
         envelope = codec.decode(wire.encode_request(request))
         envelope["meta"] = {"trace": b"short", "span": b"x"}
-        assert wire.peek_trace(codec.encode(envelope)) is None
+        assert wire.parse_request(codec.encode(envelope)).trace is None
         envelope["meta"] = {"trace": os.urandom(16)}  # span missing
-        assert wire.peek_trace(codec.encode(envelope)) is None
-        assert wire.peek_trace(b"\x00garbage") is None
+        assert wire.parse_request(codec.encode(envelope)).trace is None
+        # Not an envelope at all: the one parse refuses it with a typed
+        # error the request path answers, instead of a silent None.
+        with pytest.raises(CodecError):
+            wire.parse_request(b"\x00garbage")
 
 
 # -- the traced stack over TCP ------------------------------------------------

@@ -78,10 +78,11 @@ class TestRequestRoundTrips:
         with pytest.raises(CodecError):
             wire.encode_request(object())
 
-    def test_peek_routing_token_matches_typed_request(self, messages):
-        """The routing peek must yield byte-equal tokens to the ones
-        the typed requests carry — shard affinity through the network
-        gateway and through the in-process gateway is one formula."""
+    def test_routing_token_matches_typed_request(self, messages):
+        """The parsed envelope's routing token must be byte-equal to the
+        token the typed request carries — shard affinity through the
+        network gateway and through the in-process gateway is one
+        formula."""
         expected = {
             "purchase": messages["purchase"].certificate.fingerprint,
             "exchange": messages["exchange"].license_id,
@@ -90,17 +91,37 @@ class TestRequestRoundTrips:
         }
         for kind, token in expected.items():
             encoded = wire.encode_request(messages[kind])
-            assert wire.peek_routing_token(encoded) == token, kind
+            assert wire.parse_request(encoded).routing_token() == token, kind
 
-    def test_peek_rejects_malformed_shapes(self, messages):
+    def test_parse_rejects_malformed_shapes(self, messages):
         with pytest.raises(CodecError):
-            wire.peek_routing_token(codec.encode({"what": "nope"}))
+            wire.parse_request(codec.encode({"what": "nope"}))
+        hollow = wire.parse_request(
+            codec.encode({"what": "service-request", "kind": "sell", "body": {}})
+        )
         with pytest.raises(CodecError):
-            wire.peek_routing_token(
-                codec.encode(
-                    {"what": "service-request", "kind": "sell", "body": {}}
+            hollow.routing_token()
+        with pytest.raises(CodecError):
+            hollow.request()
+
+    def test_parse_rejects_unknown_kinds(self):
+        for kind in ("mint", ["sell"], None):
+            with pytest.raises(CodecError):
+                wire.parse_request(
+                    codec.encode({"what": "service-request", "kind": kind, "body": {}})
                 )
-            )
+
+    def test_parse_reads_nonce_best_effort(self, messages):
+        request = messages["deposit"]
+        nonce = b"n" * wire.NONCE_BYTES
+        assert wire.parse_request(wire.encode_request(request, nonce=nonce)).nonce == nonce
+        assert wire.parse_request(wire.encode_request(request)).nonce is None
+        envelope = codec.decode(wire.encode_request(request))
+        for meta in ({"nonce": b"short"}, {"nonce": 7}, b"not-a-dict"):
+            envelope["meta"] = meta
+            parsed = wire.parse_request(codec.encode(envelope))
+            assert parsed.nonce is None
+            assert parsed.request() == request
 
     def test_malformed_bodies_decode_to_codec_error(self):
         hollow = codec.encode(
