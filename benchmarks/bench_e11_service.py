@@ -18,12 +18,21 @@ runner shows queueing overhead instead of speedup, which is the
 honest number for that machine.  Smoke mode trims the sweep to 1/2
 workers and small keys; the nightly run sweeps the full 1/2/4/8 at
 real key sizes.
+
+A second arm, ``sequential``, guards the idle floor: one ``sell`` at a
+time through a 1-worker gateway against the in-process desk selling
+the same request bytes one at a time.  Its ``pool_vs_inprocess`` ratio
+(pool p50 / in-process p50) is what every request pays for queue
+hand-off and IPC on an idle pool; both medians come from the same run
+on the same runner, so runner speed cancels and ``check_regression``
+can enforce the ratio where it cannot enforce absolute timings.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -39,16 +48,30 @@ BENCH_SMOKE = os.environ.get("P2DRM_BENCH_SMOKE", "") not in ("", "0")
 WORKER_SWEEP = (1, 2) if BENCH_SMOKE else (1, 2, 4, 8)
 #: Requests per family and arm: every arm sells N and redeems N.
 N_REQUESTS = 16 if BENCH_SMOKE else 96
+#: Single sells timed one at a time, per side, in the sequential arm.
+N_SEQUENTIAL = 16 if BENCH_SMOKE else 32
 RSA_BITS = 512 if BENCH_SMOKE else 1024
+
+
+def _deployment():
+    deployment = build_deployment(seed="bench-e11", rsa_bits=RSA_BITS)
+    deployment.provider.publish(
+        "bench-song", b"BENCH-PAYLOAD" * 256, title="Bench Song", price=3
+    )
+    deployment.provider.deterministic_issuance = True
+    return deployment
+
+
+def _timed(sell, request, samples: list):
+    start = time.perf_counter()
+    result = sell(request)
+    samples.append(time.perf_counter() - start)
+    return result
 
 
 class TestServiceThroughput:
     def test_worker_sweep(self, experiment):
-        deployment = build_deployment(seed="bench-e11", rsa_bits=RSA_BITS)
-        deployment.provider.publish(
-            "bench-song", b"BENCH-PAYLOAD" * 256, title="Bench Song", price=3
-        )
-        deployment.provider.deterministic_issuance = True
+        deployment = _deployment()
         senders = [
             deployment.add_user(f"e11-sender-{i}", balance=1_000_000)
             for i in range(4)
@@ -151,3 +174,48 @@ class TestServiceThroughput:
                 speedup_vs_1=ops_per_s / baseline_ops_per_s,
                 byte_identical=byte_identical,
             )
+
+    def test_sequential_sell(self, experiment):
+        deployment = _deployment()
+        buyer = deployment.add_user("e11-sequential", balance=1_000_000)
+        requests = [
+            build_purchase_request(
+                buyer,
+                deployment.provider,
+                deployment.issuer,
+                deployment.bank,
+                "bench-song",
+            )
+            for _ in range(N_SEQUENTIAL)
+        ]
+        directory = tempfile.mkdtemp(prefix="p2drm-e11-seq-")
+        gateway = build_gateway(deployment, directory, workers=1, shards=1)
+        inprocess_s, pool_s, byte_identical = [], [], True
+        try:
+            gateway.pool.wait_warmup()
+            # Interleaved, one request at a time on each side: whatever
+            # the runner does to one side's timing it does to the other.
+            for request in requests:
+                local = _timed(deployment.provider.sell, request, inprocess_s)
+                pooled = _timed(gateway.sell, request, pool_s)
+                byte_identical &= codec.encode(pooled.as_dict()) == codec.encode(
+                    local.as_dict()
+                )
+        finally:
+            gateway.close()
+            shutil.rmtree(directory, ignore_errors=True)
+        inprocess_ms = statistics.median(inprocess_s) * 1000.0
+        pool_ms = statistics.median(pool_s) * 1000.0
+        assert byte_identical, "sequential pool sells diverged from the desk"
+        experiment.row(
+            case="sequential",
+            workers=1,
+            shards=1,
+            cores=os.cpu_count(),
+            backend=backend_name(),
+            requests=N_SEQUENTIAL,
+            inprocess_p50_ms=inprocess_ms,
+            pool_p50_ms=pool_ms,
+            pool_vs_inprocess=pool_ms / inprocess_ms,
+            byte_identical=byte_identical,
+        )

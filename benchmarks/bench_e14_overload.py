@@ -9,9 +9,14 @@ have finished, the way real traffic behaves.  The schedule sweeps
 from half the measured capacity to twice it, against a one-worker
 gateway whose admission ceiling is deliberately small, and reports
 what the runbook cares about: achieved throughput, shed rate, and
-p50/p99/p999 latency read from the pool's own
-``p2drm_request_latency_seconds`` histogram (the same numbers a
-Prometheus scrape would show).
+p50/p99/p999 latency.  The quantiles come from the raw per-request
+samples the pool's ``p2drm_request_latency_seconds`` histogram
+observes (submit to response, queue wait included), recorded as they
+happen — not from interpolation over the histogram's 13 fixed
+buckets, which would pin a p50 anywhere in the 50-100 ms bucket to
+75 ms.  The histogram's own count is cross-checked against the
+requests answered, so the samples and the scrape describe the same
+population.
 
 Two invariants are *asserted*, not just reported:
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -55,13 +61,36 @@ CEILING = 4
 RATE_MULTIPLIERS = (0.5, 2.0)
 
 
-def _quantiles_ms(registry) -> dict:
-    hist = registry.get("p2drm_request_latency_seconds")
-    out = {}
-    for label, q in (("p50_ms", 0.5), ("p99_ms", 0.99), ("p999_ms", 0.999)):
-        value = hist.quantile(q, op="sell")
-        out[label] = None if value is None else value * 1000.0
-    return out
+class _LatencySamples:
+    """Every ``sell`` latency the pool's request-latency histogram
+    observes, kept raw (seconds) beside the histogram's buckets."""
+
+    def __init__(self, registry):
+        self.histogram = registry.get("p2drm_request_latency_seconds")
+        self.values: list[float] = []
+        observe = self.histogram.observe
+
+        def recording_observe(value, **labels):
+            if labels.get("op") == "sell":
+                self.values.append(value)
+            observe(value, **labels)
+
+        self.histogram.observe = recording_observe
+
+    def quantiles_ms(self, answered: int) -> dict:
+        """p50/p99/p999 (ms) over the raw samples, after checking that
+        the histogram counted exactly the ``answered`` requests."""
+        samples = list(self.values)
+        assert self.histogram.count(op="sell") == len(samples) == answered, (
+            f"histogram count {self.histogram.count(op='sell')}, raw samples"
+            f" {len(samples)}, answered {answered}"
+        )
+        cuts = statistics.quantiles(samples, n=1000, method="inclusive")
+        return {
+            "p50_ms": cuts[499] * 1000.0,
+            "p99_ms": cuts[989] * 1000.0,
+            "p999_ms": cuts[998] * 1000.0,
+        }
 
 
 def _open_loop_queue(gateway, requests, rate):
@@ -165,10 +194,11 @@ class TestOverload:
         directory = tempfile.mkdtemp(prefix="p2drm-e14-cap-")
         gateway = build_gateway(deployment, directory, workers=1, shards=1)
         try:
+            samples = _LatencySamples(gateway.metrics)
             start = time.perf_counter()
             sold = gateway.sell_batch(requests)
             capacity = N_REQUESTS / (time.perf_counter() - start)
-            quantiles = _quantiles_ms(gateway.metrics)
+            quantiles = samples.quantiles_ms(N_REQUESTS)
         finally:
             gateway.close()
             shutil.rmtree(directory, ignore_errors=True)
@@ -194,10 +224,11 @@ class TestOverload:
                 max_inflight=CEILING,
             )
             try:
+                samples = _LatencySamples(gateway.metrics)
                 results, shed, elapsed = _open_loop_queue(
                     gateway, requests, rate
                 )
-                quantiles = _quantiles_ms(gateway.metrics)
+                quantiles = samples.quantiles_ms(N_REQUESTS - len(shed))
                 _drain(
                     lambda r: gateway.sell(r), requests, shed, results
                 )
@@ -232,9 +263,10 @@ class TestOverload:
         client = None
         try:
             client = NetClient(server.start())
+            samples = _LatencySamples(gateway.metrics)
             rate = capacity * 2.0
             results, shed, elapsed = _open_loop_tcp(client, requests, rate)
-            quantiles = _quantiles_ms(gateway.metrics)
+            quantiles = samples.quantiles_ms(N_REQUESTS - len(shed))
             assert shed, (
                 f"no typed shed over TCP at 2x capacity with a"
                 f" {CEILING}-deep server ceiling"

@@ -152,7 +152,7 @@ class TestLedger:
             # exists for (the TCP surface is deposit-only by default).
             with NetServer(gateway, allow_withdraw=True) as server:
                 with NetClient(server.address) as client:
-                    start = time.perf_counter()
+                    payments = []
                     for index in range(N_PAYMENTS):
                         user = _payer(tcp_side, index)
                         gateway.open_account(
@@ -162,6 +162,11 @@ class TestLedger:
                         assert _coin_bytes(coins) == ref_coins[index], (
                             f"TCP withdrawal {index} diverged"
                         )
+                        payments.append((index, coins))
+                    # Withdrawals stay off the clock, as in the queue
+                    # arm: both rows time the same deposits.
+                    start = time.perf_counter()
+                    for index, coins in payments:
                         receipt = client.deposit(
                             f"merchant-{index:02d}", coins
                         )

@@ -13,6 +13,15 @@ real regression — someone dropped a batch path or added a redundant
 verification — and fails the job.  Throughput/latency numbers depend on
 the runner and are only reported as warnings, never failures.
 
+**In-run ratios are enforced with their own band.**  A ratio of two
+medians taken in the same run on the same runner (E11's
+``pool_vs_inprocess``: a sequential ``sell`` through a 1-worker pool
+over the in-process desk's) cancels the runner's speed, so it can be
+gated where the absolute timings cannot.  Each ratio fails when it
+exceeds its multiple of the baseline value (``ENFORCED_RATIOS``) — a
+band wide enough for runner noise, narrow enough that a fixed wait
+returning to the idle path (which triples the ratio) fails the job.
+
 **Backends change wall time, never op counts.**  The arithmetic
 backend a run executed under (``meta.backend``; rows that sweep
 backends explicitly carry it in their ``arm`` label) does not alter
@@ -53,6 +62,12 @@ ENFORCED_METRICS = {
     "rsa_private",
     "messages",
     "bytes",
+}
+
+#: In-run ratio metrics -> the multiple of the baseline value above
+#: which the current run fails.
+ENFORCED_RATIOS = {
+    "pool_vs_inprocess": 2.0,
 }
 
 #: Keys that identify a row within its experiment table (categorical
@@ -142,10 +157,17 @@ def compare(current: dict, baseline: dict, tolerance: float):
                 continue
             value = row.get(metric)
             if value is None:
-                if metric in ENFORCED_METRICS:
+                if metric in ENFORCED_METRICS or metric in ENFORCED_RATIOS:
                     failures.append(f"{where}: metric {metric!r} missing")
                 continue
-            if metric in ENFORCED_METRICS:
+            if metric in ENFORCED_RATIOS:
+                band = ENFORCED_RATIOS[metric]
+                if value > base_value * band:
+                    failures.append(
+                        f"{where}: {metric} regressed {base_value:.4g} ->"
+                        f" {value:.4g} (>{band:g}x baseline)"
+                    )
+            elif metric in ENFORCED_METRICS:
                 if value > base_value * (1 + tolerance):
                     failures.append(
                         f"{where}: {metric} regressed {base_value} -> {value}"

@@ -489,7 +489,6 @@ def build_gateway(
     workers: int = 2,
     shards: int | None = None,
     max_batch: int | None = None,
-    max_wait: float | None = None,
     max_inflight: int | None = None,
     max_pending: int | None = None,
     tracing: bool = False,
@@ -519,8 +518,6 @@ def build_gateway(
     knobs = {}
     if max_batch is not None:
         knobs["max_batch"] = max_batch
-    if max_wait is not None:
-        knobs["max_wait"] = max_wait
     if tracing:
         tracing_module.configure(latency_threshold=trace_threshold, keep=trace_keep)
     config = ServiceConfig.from_deployment(

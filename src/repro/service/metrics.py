@@ -56,10 +56,11 @@ __all__ = [
 ]
 
 #: Default latency buckets (seconds): log-ish spacing from 1 ms to 10 s,
-#: matched to the service layer's observed range — worker batch waits
-#: sit around ``max_wait`` (20 ms), loaded-CI crypto in the hundreds of
-#: milliseconds.  13 buckets keeps a histogram cheap to ship and wide
-#: enough that p999 interpolation has a bucket to land in.
+#: matched to the service layer's observed range — an idle pool's queue
+#: hand-off is around a millisecond, one request's crypto a few to tens
+#: of milliseconds, loaded-CI batches in the hundreds.  13 buckets keeps
+#: a histogram cheap to ship and wide enough that p999 interpolation
+#: has a bucket to land in.
 DEFAULT_LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )

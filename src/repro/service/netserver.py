@@ -88,8 +88,8 @@ from .transport import (
 __all__ = ["NetServer", "NetClient", "DEFAULT_MAX_INFLIGHT"]
 
 #: Default per-connection ceiling on outstanding requests.  Matches a
-#: worker batch nicely: one pipelining client can fill a worker's
-#: coalescing window, but cannot queue unbounded work.
+#: worker's ``max_batch``: one pipelining client can keep a full batch
+#: queued for the next drain, but cannot queue unbounded work.
 DEFAULT_MAX_INFLIGHT = 32
 
 _READ_CHUNK = 65536

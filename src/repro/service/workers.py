@@ -16,10 +16,12 @@ pipelines as the in-process deployment — wired to:
   (a benchmark arm, say) happened to leave behind.
 
 Requests arrive on the worker's queue as ``(request_id, bytes)``
-pairs and are coalesced into batches (up to ``max_batch`` items,
-waiting at most ``max_wait`` seconds for stragglers) so the aggregate
-verification paths have something to amortize over even when the
-gateway submits one request at a time.
+pairs.  A worker blocks for the first one, then takes whatever else is
+*already* queued (up to ``max_batch`` items) and never waits for
+stragglers: an idle pool answers a lone request at once, and a busy
+one gets its batches from the requests that piled up while the worker
+was computing — which is where the aggregate verification paths have
+something to amortize over.
 
 Where this sits in the stack: ``docs/architecture.md`` (service
 layer — the desks the pool's routing and admission control feed).
@@ -59,10 +61,10 @@ from .sharding import (
     ShardSet,
 )
 
-#: Default batch hand-off knobs: big enough for the aggregate checks to
-#: pay, short enough that a lone request is not held hostage.
+#: Default ceiling on one drained batch: big enough for the aggregate
+#: checks to pay, small enough that one batch does not hold a worker
+#: (and the requests queued behind it) for long.
 DEFAULT_MAX_BATCH = 32
-DEFAULT_MAX_WAIT = 0.02
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,6 @@ class ServiceConfig:
     bank_account: str = "content-provider-account"
     escrow_key_element: int | None = None
     max_batch: int = DEFAULT_MAX_BATCH
-    max_wait: float = DEFAULT_MAX_WAIT
     #: Worker-side tracing switch: when true each worker installs a
     #: :class:`~repro.service.tracing.SpanCollector` and ships spans
     #: back on the response queue (the gateway's recorder makes the
@@ -133,7 +134,6 @@ class ServiceConfig:
         shard_paths,
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait: float = DEFAULT_MAX_WAIT,
         tracing: bool = False,
     ) -> "ServiceConfig":
         """Capture a built deployment's provider as a worker config.
@@ -181,7 +181,6 @@ class ServiceConfig:
             bank_account=provider._bank_account,
             escrow_key_element=deployment.issuer.escrow_key.y,
             max_batch=max_batch,
-            max_wait=max_wait,
             tracing=tracing,
         )
 
@@ -642,33 +641,31 @@ class _Drained:
     shutdown: bool = False
 
 
-def _drain_batch(request_queue, max_batch: int, max_wait: float) -> _Drained:
+def _drain_batch(request_queue, max_batch: int) -> _Drained:
+    """Block for one queue item, then take only what is already queued.
+
+    No deadline and no timed ``get``: a batch is whatever piled up while
+    the worker was busy, capped at ``max_batch``.  A ``None`` sentinel
+    or a torn-down queue (``EOFError``/``OSError``) marks shutdown; the
+    items drained before it are kept.
+    """
     drained = _Drained()
     try:
-        first = request_queue.get()
+        item = request_queue.get()
     except (EOFError, OSError):
         drained.shutdown = True
         return drained
-    if first is None:
-        drained.shutdown = True
-        return drained
-    drained.items.append(first)
-    deadline = time.monotonic() + max_wait
-    while len(drained.items) < max_batch:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        try:
-            item = request_queue.get(timeout=remaining)
-        except queue_module.Empty:
-            break
-        except (EOFError, OSError):
-            drained.shutdown = True
-            break
-        if item is None:
-            drained.shutdown = True
-            break
+    while item is not None:
         drained.items.append(item)
+        if len(drained.items) >= max_batch:
+            return drained
+        try:
+            item = request_queue.get_nowait()
+        except queue_module.Empty:
+            return drained
+        except (EOFError, OSError):
+            break
+    drained.shutdown = True
     return drained
 
 
@@ -699,7 +696,7 @@ def worker_main(worker_index, config, request_queue, response_queue):
     try:
         provider, desk, clock = build_worker_provider(config, worker_index, shards)
         while True:
-            drained = _drain_batch(request_queue, config.max_batch, config.max_wait)
+            drained = _drain_batch(request_queue, config.max_batch)
             if drained.items:
                 try:
                     _process_batch(
